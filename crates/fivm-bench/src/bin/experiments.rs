@@ -1,6 +1,5 @@
 //! Regenerates every table and figure of the paper’s evaluation (§7 +
-//! Appendix C) and prints paper-style rows. EXPERIMENTS.md records a
-//! captured run next to the paper’s numbers.
+//! Appendix C) and prints paper-style rows.
 //!
 //! Usage:
 //!
@@ -12,8 +11,8 @@
 //!
 //! Scales: `small` (default, ≈1 min total), `medium` (≈10 min). The
 //! paper’s absolute scale (84 M-row Retailer, n = 16384 matrices, 1 h
-//! timeouts) is not reproducible on a laptop; DESIGN.md §3 explains why
-//! the *shapes* survive down-scaling.
+//! timeouts) is not reproducible on a laptop; the runs here compare the
+//! *shapes* of the paper’s curves, not its absolute numbers.
 
 use fivm_bench::*;
 use fivm_core::ring::cofactor::Cofactor;
@@ -413,7 +412,6 @@ fn smoke() {
         lifts: &LiftingMap<f64>,
         batches: &[fivm_data::Batch],
         fast: bool,
-        workers: usize,
     ) -> f64 {
         let deltas: Vec<(usize, fivm_core::Delta<f64>)> = batches
             .iter()
@@ -430,7 +428,6 @@ fn smoke() {
                 let mut engine =
                     fivm_engine::IvmEngine::new(q.clone(), tree.clone(), all, lifts.clone());
                 engine.set_fast_path(fast);
-                engine.set_workers(workers);
                 let start = Instant::now();
                 for (rel, d) in &deltas {
                     engine.apply(*rel, d);
@@ -497,36 +494,15 @@ fn smoke() {
             ("retailer", &rbq, &rbtree, &rball, &rblifts, rb.stream(bs)),
         ] {
             for fast in [true, false] {
-                let tput = batch_throughput(q, tree, all, lifts, &batches, fast, 1);
+                let tput = batch_throughput(q, tree, all, lifts, &batches, fast);
                 fig12.push_str(&format!(
                     ",\"fig12_{name}_bs{bs}_{}\":{tput:.0}",
                     if fast { "fast" } else { "general" },
                 ));
             }
         }
-        let tput = batch_throughput(&sbq, &sbtree, &sball, &sblifts, &sb.stream(bs), true, 1);
+        let tput = batch_throughput(&sbq, &sbtree, &sball, &sblifts, &sb.stream(bs), true);
         fig12.push_str(&format!(",\"fig12_string_bs{bs}_fast\":{tput:.0}"));
-    }
-
-    // Parallel-propagation sweep (PR 3): the same flat batches through
-    // the fast path at 1/2/4/8 workers. The w1 entry is the sequential
-    // fallback (the pool never engages at one worker), so
-    // `…_fast_w1 / …_fast` is the fallback's overhead and
-    // `…_fast_wN / …_fast_w1` the scaling — on a multi-core host;
-    // single-core containers time-slice the workers and show dispatch
-    // overhead instead.
-    for &bs in &[10_000usize, 100_000] {
-        for (name, q, tree, all, lifts, batches) in [
-            ("housing", &hbq, &hbtree, &hball, &hblifts, hb.stream(bs)),
-            ("retailer", &rbq, &rbtree, &rball, &rblifts, rb.stream(bs)),
-        ] {
-            for workers in [1usize, 2, 4, 8] {
-                let tput = batch_throughput(q, tree, all, lifts, &batches, true, workers);
-                fig12.push_str(&format!(
-                    ",\"fig12_{name}_bs{bs}_fast_w{workers}\":{tput:.0}"
-                ));
-            }
-        }
     }
 
     // fig6 path (PR 5 headline): rank-1 updates to A₂ of the n×n

@@ -1,8 +1,7 @@
 //! # fivm-bench — the F-IVM experiment harness
 //!
 //! Reproduces every table and figure of the paper’s evaluation (§7 and
-//! Appendix C); the per-experiment index lives in DESIGN.md §4 and the
-//! measured-vs-paper numbers in EXPERIMENTS.md.
+//! Appendix C); `src/bin/experiments.rs` is the per-experiment driver.
 //!
 //! [`Maintainer`] abstracts over the competing strategies so one driver
 //! ([`run_stream`]) measures them all: F-IVM ([`FIvmMaintainer`]),

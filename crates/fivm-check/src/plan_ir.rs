@@ -674,47 +674,6 @@ pub fn verify_factored_plan(ctx: &PlanCtx, plan: &FactoredPlanIr) -> Vec<Finding
     sink.findings
 }
 
-/// Verify that `ranges` (half-open, one per worker) partition
-/// `[0, total)`: pairwise disjoint and jointly covering. Used for both
-/// the chunk split of the route phase and the hash-range ownership of
-/// the merge phase.
-pub fn verify_partition(ranges: &[(usize, usize)], total: usize) -> Vec<Finding> {
-    let mut sink = Sink::new();
-    sink.at = "partition".to_string();
-    let mut covered = 0usize;
-    for (i, &(lo, hi)) in ranges.iter().enumerate() {
-        if lo > hi {
-            sink.emit(
-                "range-inverted",
-                format!("range {i} is inverted: [{lo}, {hi})"),
-            );
-            return sink.findings;
-        }
-        if hi > total {
-            sink.emit(
-                "range-oob",
-                format!("range {i} = [{lo}, {hi}) exceeds total {total}"),
-            );
-        }
-        for (j, &(lo2, hi2)) in ranges.iter().enumerate().skip(i + 1) {
-            if lo < hi2 && lo2 < hi {
-                sink.emit(
-                    "range-overlap",
-                    format!("ranges {i} = [{lo}, {hi}) and {j} = [{lo2}, {hi2}) overlap"),
-                );
-            }
-        }
-        covered += hi.saturating_sub(lo).min(total);
-    }
-    if covered != total {
-        sink.emit(
-            "range-cover",
-            format!("ranges cover {covered} of {total} elements (must be exact)"),
-        );
-    }
-    sink.findings
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -856,21 +815,5 @@ mod tests {
             findings.iter().any(|f| f.rule == "slot-read-before-write"),
             "{findings:?}"
         );
-    }
-
-    #[test]
-    fn overlapping_ranges_are_caught() {
-        let findings = verify_partition(&[(0, 5), (4, 10)], 10);
-        assert!(
-            findings.iter().any(|f| f.rule == "range-overlap"),
-            "{findings:?}"
-        );
-        let findings = verify_partition(&[(0, 5), (5, 9)], 10);
-        assert!(
-            findings.iter().any(|f| f.rule == "range-cover"),
-            "{findings:?}"
-        );
-        let findings = verify_partition(&[(0, 5), (5, 10)], 10);
-        assert!(findings.is_empty(), "{findings:?}");
     }
 }

@@ -20,8 +20,7 @@
 //! 2. **Propagate as integers** — every probe, route, merge, equality,
 //!    ordering and hash in the maintenance hot path sees only the
 //!    8-byte id: no content hashing, no `Arc<str>` refcount traffic,
-//!    and nothing allocates. Worker threads in the parallel route phase
-//!    ship 8-byte symbols instead of contending on shared refcounts.
+//!    and nothing allocates.
 //! 3. **Resolve at the edges** — display and tests call
 //!    [`Catalog::resolve_sym`] (or [`crate::Value::render`]) to get the
 //!    string back. Resolution is **lock-free**: an atomic length check

@@ -14,8 +14,7 @@
 //! carrying `Arc<str>` is a 16-byte fat pointer that inflates `Value` to
 //! 24 bytes (and the inline `[Value; 3]` tuple to 72), drags content
 //! hashing into every probe-key construction, and puts refcount traffic
-//! — atomic, and contended once worker threads route deltas — on every
-//! clone. Strings are therefore **interned at load time** into the
+//! — atomic — on every clone. Strings are therefore **interned at load time** into the
 //! catalog-owned [`crate::schema::SymbolTable`] and carried as
 //! [`Value::Sym`], a dense `u32` id:
 //!

@@ -9,7 +9,15 @@
 use fivm_check::Checker;
 use fivm_core::sync::thread;
 use fivm_core::SymbolTable;
-use std::sync::Arc;
+use std::sync::{Arc, Mutex, MutexGuard, PoisonError};
+
+/// The seeded-fault test flips a process-wide knob; every test in this
+/// file holds this lock so no other model run sees the knob set.
+static FAULT_KNOB: Mutex<()> = Mutex::new(());
+
+fn serial() -> MutexGuard<'static, ()> {
+    FAULT_KNOB.lock().unwrap_or_else(PoisonError::into_inner)
+}
 
 /// The table's core invariant: any id below an observed `len()` must
 /// resolve — the Acquire on the length gate pairs with the Release of
@@ -26,6 +34,7 @@ fn reader_checks_gate(table: &SymbolTable) {
 
 #[test]
 fn concurrent_intern_and_resolve_gate_holds() {
+    let _serial = serial();
     let report = Checker::new().check("symbol-table intern/resolve", || {
         let table = Arc::new(SymbolTable::new());
         let t = table.clone();
@@ -47,6 +56,7 @@ fn concurrent_intern_and_resolve_gate_holds() {
 
 #[test]
 fn two_interners_never_duplicate_ids() {
+    let _serial = serial();
     let report = Checker::new().check("symbol-table dueling interns", || {
         let table = Arc::new(SymbolTable::new());
         let (ta, tb) = (table.clone(), table.clone());
@@ -68,6 +78,7 @@ fn two_interners_never_duplicate_ids() {
 /// to prevent.
 #[test]
 fn relaxed_length_publish_is_caught() {
+    let _serial = serial();
     fivm_core::schema::SYM_FAULT_RELAXED_PUBLISH.store(true, std::sync::atomic::Ordering::SeqCst);
     let report = Checker::new().check("symbol-table relaxed publish", || {
         let table = Arc::new(SymbolTable::new());

@@ -71,8 +71,8 @@ proptest! {
 }
 
 /// Resolution is stable across catalog clones shipped to other threads
-/// (the parallel route phase ships 8-byte symbols; workers resolve only
-/// at the display edge, against a shared table).
+/// (snapshot readers resolve only at the display edge, against a shared
+/// table).
 #[test]
 fn clone_to_thread_resolves_same_ids() {
     let c = Catalog::new();

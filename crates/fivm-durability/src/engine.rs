@@ -5,11 +5,9 @@
 //!
 //! The logical clock is the engine's own `updates_applied` counter
 //! (one LSN per applied delta). Recovery = newest valid checkpoint +
-//! replay of the log tail; because delta propagation is deterministic
-//! (bit-identical across worker counts for exact rings — the PR 3
-//! parallel-determinism guarantee), the recovered views are
-//! byte-identical to an uninterrupted engine that applied the same
-//! prefix.
+//! replay of the log tail; because delta propagation is deterministic,
+//! the recovered views are byte-identical to an uninterrupted engine
+//! that applied the same prefix.
 //!
 //! # Storage-failure policy
 //!

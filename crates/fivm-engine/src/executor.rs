@@ -88,30 +88,9 @@
 //! batches at that size perform zero heap allocations
 //! (tests/zero_alloc_propagation.rs proves both the single-tuple and
 //! the batch claim).
-//!
-//! # Parallel propagation
-//!
-//! Within one maintenance step, sibling probes are read-only and tuples
-//! interact only at the duplicate merge, so batch-scale steps fan out
-//! across a persistent worker pool (see [`crate::parallel`]): workers
-//! join+lift disjoint chunks of the step's input and route surviving
-//! pairs by output-key hash range; each range's owner merges its
-//! (disjoint) share through its own [`DeltaAccumulator`]; only the
-//! final per-step store merge is single-writer. The fan-out engages
-//! when [`IvmEngine::workers`] > 1 **and** the step's input has at
-//! least the parallel threshold's tuples — below that, updates take the
-//! unchanged sequential path, so single-tuple latency pays exactly one
-//! length comparison. Defaults come from `FIVM_WORKERS` /
-//! `FIVM_PAR_THRESHOLD`; see [`IvmEngine::set_workers`] and
-//! [`IvmEngine::set_parallel_threshold`]. For exact rings the parallel
-//! path is bit-identical to the sequential one at every worker count
-//! (per-key payloads fold in chunk order either way); floating-point
-//! payloads are deterministic for a fixed worker count but may round
-//! differently across counts.
 
 pub mod verify;
 
-use crate::parallel::{self, ParRuntime};
 use crate::view::{SupportChange, ViewStore};
 use fivm_core::{
     Delta, DeltaAccumulator, FxHashMap, Lifting, LiftingMap, ProjKey, Relation, Ring, Schema,
@@ -377,12 +356,6 @@ pub struct IvmEngine<R: Ring> {
     /// Whether flat deltas may take the compiled fast path (disabled by
     /// benchmarks and differential tests to expose the general path).
     fast_path: bool,
-    /// Worker/partition count for parallel propagation (1 = sequential).
-    workers: usize,
-    /// Minimum step-input tuples before a step fans out.
-    par_threshold: usize,
-    /// Pool + per-worker scratches, created on first parallel step.
-    par: Option<ParRuntime<R>>,
     updates_applied: u64,
 }
 
@@ -463,9 +436,6 @@ impl<R: Ring> IvmEngine<R> {
             payload_preproject: None,
             scratch: Scratch::default(),
             fast_path: true,
-            workers: parallel::env_workers(),
-            par_threshold: parallel::env_parallel_threshold(),
-            par: None,
             updates_applied: 0,
         };
         engine.compile_fast_plans(&ind_steps);
@@ -1134,33 +1104,6 @@ impl<R: Ring> IvmEngine<R> {
         self.fast_path = enabled;
     }
 
-    /// Set the worker/partition count for parallel propagation. `1`
-    /// (the default when `FIVM_WORKERS` is unset) keeps every update on
-    /// the sequential path; higher counts fan batch-scale steps out
-    /// across a persistent pool (threads are spawned lazily, on the
-    /// first step that crosses the parallel threshold). Both paths
-    /// maintain the same stores, so the count can change mid-stream.
-    pub fn set_workers(&mut self, workers: usize) {
-        let workers = workers.max(1);
-        if workers != self.workers {
-            self.workers = workers;
-            // Partition count changed: rebuild lazily at the new width.
-            self.par = None;
-        }
-    }
-
-    /// The configured worker/partition count.
-    pub fn workers(&self) -> usize {
-        self.workers
-    }
-
-    /// Set the minimum step-input size (in tuples) for the parallel
-    /// fan-out; smaller steps take the sequential path. Exposed so
-    /// tests and benchmarks can force parallelism onto small batches.
-    pub fn set_parallel_threshold(&mut self, tuples: usize) {
-        self.par_threshold = tuples.max(1);
-    }
-
     /// Number of factorization shapes cached for `rel`'s compiled
     /// factored path (compiled or cached-as-uncompilable) — a
     /// diagnostic for tests: a steady stream of same-shape rank-1
@@ -1255,23 +1198,16 @@ impl<R: Ring> IvmEngine<R> {
         }
     }
 
-    /// Walk compiled steps over the ping-pong buffers, fanning
-    /// batch-scale steps across the worker pool (module docs).
+    /// Walk compiled steps over the ping-pong buffers (module docs).
     fn run_fast_steps(&mut self, plan: &FastPlan<R>, scratch: &mut Scratch<R>) {
         for step in &plan.steps {
             if scratch.a.is_empty() {
                 return; // delta vanished
             }
-            if self.workers > 1 && scratch.a.len() >= self.par_threshold {
-                self.parallel_step(step, scratch);
-            } else {
-                self.sequential_step(step, scratch);
-            }
+            self.sequential_step(step, scratch);
             if scratch.a.is_empty() {
                 return;
             }
-            // The per-step store merge stays single-writer on both
-            // paths.
             if step.store {
                 if let Some(store) = &mut self.views[step.node] {
                     // Pre-size for batch-scale deltas — but not when the
@@ -1344,166 +1280,6 @@ impl<R: Ring> IvmEngine<R> {
         }
         scratch.b.clear();
         scratch.acc.drain_into(&mut scratch.b);
-        std::mem::swap(&mut scratch.a, &mut scratch.b);
-    }
-
-    /// One compiled step, fanned out across the worker pool (see the
-    /// module docs and [`crate::parallel`]): route phase (each worker
-    /// joins+lifts a contiguous chunk of `scratch.a` against the
-    /// shared read-only stores and routes output pairs by key-hash
-    /// range), merge phase (each worker folds its own range's pairs —
-    /// disjoint from every other range — through its own accumulator),
-    /// then a sequential gather of the runs into `scratch.a`.
-    fn parallel_step(&mut self, step: &FastStep<R>, scratch: &mut Scratch<R>) {
-        if self.par.is_none() {
-            self.par = Some(ParRuntime::new(
-                self.workers,
-                FAST_PATH_LINEAR_MERGE,
-                FAST_PATH_HASH_MERGE,
-            ));
-        }
-        // Split the runtime's fields: the pool dispatches by `&mut`
-        // (serialized dispatch is what makes its lifetime erasure
-        // sound), while the closures share the scratches/merges and
-        // the views immutably.
-        let par = self.par.as_mut().expect("just created");
-        let ParRuntime {
-            pool,
-            scratches,
-            merges,
-        } = par;
-        let views = &self.views;
-        let input = &scratch.a;
-        let parts = pool.workers();
-
-        // Route phase. The worker's first stage reads its chunk
-        // *borrowed* — tuples and payloads are cloned only once a pair
-        // survives its first probe (or, with no siblings, reaches the
-        // route buffer), not upfront.
-        pool.scatter(&|w| {
-            let range = parallel::chunk(input.len(), parts, w);
-            let chunk = &input[range];
-            let mut ws = scratches[w].lock().expect("worker scratch poisoned");
-            let ws = &mut *ws;
-            ws.a.clear();
-            // `owned` = the current delta lives in ws.a; before the
-            // first sibling it is still the borrowed chunk.
-            let mut owned = false;
-            for sib in &step.siblings {
-                let store = views[sib.node]
-                    .as_ref()
-                    .unwrap_or_else(|| panic!("sibling view {} not materialized", sib.node));
-                ws.b.clear();
-                if sib.full_key {
-                    if owned {
-                        for (t, p) in ws.a.drain(..) {
-                            let probe = ProjKey::new(&t, &sib.probe_pos);
-                            if let Some(sp) = store.get(&probe) {
-                                let prod = p.mul(sp);
-                                if !prod.is_zero() {
-                                    ws.b.push((t, prod));
-                                }
-                            }
-                        }
-                    } else {
-                        for (t, p) in chunk {
-                            let probe = ProjKey::new(t, &sib.probe_pos);
-                            if let Some(sp) = store.get(&probe) {
-                                let prod = p.mul(sp);
-                                if !prod.is_zero() {
-                                    ws.b.push((t.clone(), prod));
-                                }
-                            }
-                        }
-                    }
-                } else {
-                    // Partial-key probes build fresh (concatenated)
-                    // tuples either way; the borrowed stage differs
-                    // only in how the source pair is held.
-                    if owned {
-                        for (t, p) in ws.a.drain(..) {
-                            let probe = ProjKey::new(&t, &sib.probe_pos);
-                            for full in store.probe(sib.index_id, &probe) {
-                                let sp = store.get(full).expect("indexed keys are live");
-                                let prod = p.mul(sp);
-                                if !prod.is_zero() {
-                                    ws.b.push((t.concat_projected(full, &sib.rest_pos), prod));
-                                }
-                            }
-                        }
-                    } else {
-                        for (t, p) in chunk {
-                            let probe = ProjKey::new(t, &sib.probe_pos);
-                            for full in store.probe(sib.index_id, &probe) {
-                                let sp = store.get(full).expect("indexed keys are live");
-                                let prod = p.mul(sp);
-                                if !prod.is_zero() {
-                                    ws.b.push((t.concat_projected(full, &sib.rest_pos), prod));
-                                }
-                            }
-                        }
-                    }
-                }
-                std::mem::swap(&mut ws.a, &mut ws.b);
-                owned = true;
-                if ws.a.is_empty() {
-                    break;
-                }
-            }
-            let route = |ws: &mut crate::parallel::WorkerScratch<R>, t: &Tuple, p: R| {
-                let mut p = p;
-                for (pos, lifting) in &step.lifts {
-                    p = p.mul(&lifting.lift(t.get(*pos)));
-                }
-                if p.is_zero() {
-                    return;
-                }
-                let key = ProjKey::new(t, &step.out_pos);
-                let d = parallel::destination(key.key_hash(), parts);
-                ws.route[d].push((key.materialize(), p));
-            };
-            if owned {
-                let mut pairs = std::mem::take(&mut ws.a);
-                for (t, p) in pairs.drain(..) {
-                    route(ws, &t, p);
-                }
-                ws.a = pairs; // return the warmed buffer
-            } else {
-                for (t, p) in chunk {
-                    route(ws, t, p.clone());
-                }
-            }
-        });
-
-        // Merge phase: destination `d` owns hash range `d`. Collection
-        // staggers lock order (start at scratch `d`, wrap) and holds
-        // each scratch lock only for a buffer swap; the fold then runs
-        // lock-free in worker order (= chunk order, so per-key payload
-        // folds replay the sequential order). The runs are key-disjoint
-        // because routing is a function of the key hash.
-        pool.scatter(&|d| {
-            let mut slot = merges[d].lock().expect("merge slot poisoned");
-            let slot = &mut *slot;
-            debug_assert!(slot.acc.is_empty() && slot.run.is_empty());
-            for k in 0..parts {
-                let w = (d + k) % parts;
-                let mut ws = scratches[w].lock().expect("worker scratch poisoned");
-                std::mem::swap(&mut ws.route[d], &mut slot.pending[w]);
-            }
-            for w in 0..parts {
-                for (t, p) in slot.pending[w].drain(..) {
-                    slot.acc.push(&t, p);
-                }
-            }
-            slot.acc.drain_into(&mut slot.run);
-        });
-
-        // Gather the disjoint runs (buffers retain their capacity).
-        scratch.b.clear();
-        for slot in merges.iter().take(parts) {
-            let mut slot = slot.lock().expect("merge slot poisoned");
-            scratch.b.append(&mut slot.run);
-        }
         std::mem::swap(&mut scratch.a, &mut scratch.b);
     }
 

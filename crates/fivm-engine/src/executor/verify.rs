@@ -3,8 +3,8 @@
 //! [`fivm_check::plan_ir`] and typechecked against the view tree — a
 //! symbolic re-simulation over schemas that proves the compiled
 //! positions (probe keys, index ids, rest columns, margin lifts, store
-//! projections, factor slots, worker ranges) are consistent *before*
-//! the first tuple flows through them.
+//! projections, factor slots) are consistent *before* the first tuple
+//! flows through them.
 //!
 //! Wiring:
 //!
@@ -16,7 +16,6 @@
 //!   auditing.
 
 use super::{FactorOp, FactoredPlan, FactoredStep, FastPlan, FastSibling, Fused, IvmEngine};
-use crate::parallel;
 use crate::view::ViewStore;
 use fivm_check::plan_ir::{
     self, FactorOpIr, FactoredPlanIr, FactoredStepIr, FastPlanIr, FastStepIr, FlattenIr, FusedIr,
@@ -180,9 +179,9 @@ impl<R: Ring> IvmEngine<R> {
     }
 
     /// Statically verify every compiled plan in the engine — all
-    /// flat-delta fast plans (per relation and per indicator), every
-    /// cached factored-shape slot program, and the worker hash-range
-    /// partitioning. Returns all findings (empty = verified clean).
+    /// flat-delta fast plans (per relation and per indicator) and every
+    /// cached factored-shape slot program. Returns all findings (empty =
+    /// verified clean).
     pub fn verify_plans(&self) -> Vec<Finding> {
         let ctx = self.plan_ctx();
         let mut findings = Vec::new();
@@ -216,37 +215,6 @@ impl<R: Ring> IvmEngine<R> {
                         plan_ir::verify_factored_plan(&ctx, &factored_plan_ir(shape, p)),
                     );
                 }
-            }
-        }
-        // The parallel fan-out rests on two index partitions: the route
-        // phase splits the step input into per-worker chunks, and the
-        // merge phase assigns each destination partition to exactly one
-        // worker. Verify both families across representative sizes at
-        // the configured worker count.
-        let parts = self.workers.max(1);
-        for total in [0usize, 1, parts, parts + 1, 63, 64, 1000] {
-            let chunks: Vec<(usize, usize)> = (0..parts)
-                .map(|i| {
-                    let r = parallel::chunk(total, parts, i);
-                    (r.start, r.end)
-                })
-                .collect();
-            let label = format!("chunk split ({parts} workers, {total} tuples)");
-            labeled(
-                &mut findings,
-                &label,
-                plan_ir::verify_partition(&chunks, total),
-            );
-        }
-        // destination() must route every hash into [0, parts).
-        for h in [0u64, 1, u64::MAX, 0x9e37_79b9_7f4a_7c15] {
-            let d = parallel::destination(h, parts);
-            if d >= parts {
-                findings.push(Finding {
-                    rule: "route-oob",
-                    at: format!("destination(0x{h:x}, {parts})"),
-                    message: format!("routes to partition {d} >= {parts}"),
-                });
             }
         }
         findings

@@ -25,13 +25,14 @@
 //! * [`memory`] — approximate byte accounting replacing the paper’s
 //!   gperftools profiles.
 
+#![forbid(unsafe_code)]
+
 pub mod enumerate;
 pub mod eval;
 pub mod executor;
 pub mod first_order;
 pub mod heavylight;
 pub mod memory;
-pub mod parallel;
 pub mod recursive;
 pub mod reeval;
 pub mod snapshot;
@@ -43,7 +44,6 @@ pub use eval::{eval_node, eval_tree, Database};
 pub use executor::{IvmEngine, PayloadTransform};
 pub use first_order::FirstOrderIvm;
 pub use heavylight::{HlConfig, HlStats, TriangleHlEngine};
-pub use parallel::WorkerPool;
 pub use recursive::RecursiveIvm;
 pub use snapshot::{
     EngineSnapshot, ServingEngine, ServingStats, SnapshotPublisher, SnapshotReader,

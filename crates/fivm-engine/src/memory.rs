@@ -1,5 +1,5 @@
 //! Approximate memory accounting (replaces the paper’s gperftools
-//! profiling; see DESIGN.md §3).
+//! profiling).
 //!
 //! Views report resident bytes from entry counts, key widths, payload
 //! sizes and fixed per-entry overheads. Absolute numbers differ from a

@@ -418,7 +418,7 @@ impl<R: Ring> ServingEngine<R> {
         &self.engine
     }
 
-    /// Mutable access for setup (loads, index creation, worker count).
+    /// Mutable access for setup (loads, index creation).
     /// Changes become visible to readers at the next publish.
     pub fn engine_mut(&mut self) -> &mut IvmEngine<R> {
         &mut self.engine

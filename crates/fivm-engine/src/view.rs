@@ -508,9 +508,8 @@ mod tests {
         let _ = ix;
     }
 
-    /// Delta propagation probes view stores from worker threads behind
-    /// shared references; the whole storage stack must stay `Send +
-    /// Sync` (compile-time check).
+    /// Published snapshots share view stores with reader threads; the
+    /// whole storage stack must stay `Send + Sync` (compile-time check).
     #[test]
     fn view_storage_is_send_and_sync() {
         fn assert_send_sync<T: Send + Sync>() {}

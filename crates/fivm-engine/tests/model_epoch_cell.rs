@@ -10,7 +10,15 @@
 use fivm_check::Checker;
 use fivm_core::sync::thread;
 use fivm_engine::snapshot::{faults, EpochCell};
-use std::sync::Arc;
+use std::sync::{Arc, Mutex, MutexGuard, PoisonError};
+
+/// The seeded-fault test flips a process-wide knob; every test in this
+/// file holds this lock so no other model run sees the knob set.
+static FAULT_KNOB: Mutex<()> = Mutex::new(());
+
+fn serial() -> MutexGuard<'static, ()> {
+    FAULT_KNOB.lock().unwrap_or_else(PoisonError::into_inner)
+}
 
 /// Writer publishes epochs 1 and 2 while the reader probes freshness
 /// and pins. The cell's contract: once `epoch()` returns `e`, a
@@ -41,6 +49,7 @@ fn publish_pin_model() {
 
 #[test]
 fn publish_while_pin_never_tears() {
+    let _serial = serial();
     let report = Checker::new().check("epoch-cell publish/pin", publish_pin_model);
     println!("{report}");
     report.assert_ok();
@@ -48,6 +57,7 @@ fn publish_while_pin_never_tears() {
 
 #[test]
 fn two_readers_one_writer_smoke() {
+    let _serial = serial();
     let report = Checker::new().check("epoch-cell two readers", || {
         let cell = Arc::new(EpochCell::new(0, Arc::new(0u64)));
         let c = cell.clone();
@@ -76,6 +86,7 @@ fn two_readers_one_writer_smoke() {
 /// advertised epoch but pins the previous snapshot.
 #[test]
 fn torn_publish_is_caught() {
+    let _serial = serial();
     faults::TORN_PUBLISH.store(true, std::sync::atomic::Ordering::SeqCst);
     let report = Checker::new().check("epoch-cell torn publish", publish_pin_model);
     faults::TORN_PUBLISH.store(false, std::sync::atomic::Ordering::SeqCst);

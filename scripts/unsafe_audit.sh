@@ -4,10 +4,11 @@
 # section (declarations) must appear on the same line or within the
 # eight preceding lines of each line containing the `unsafe` keyword.
 #
-# Five of the seven crates `#![forbid(unsafe_code)]` outright; this
-# script polices the remainder (fivm-core, fivm-engine,
-# fivm-durability, fivm-check) where unsafe is load-bearing
-# (lifetime-erased scatter jobs, SSE4.2 CRC, Send/Sync impls).
+# Six of the nine crates `#![forbid(unsafe_code)]` outright; this
+# script polices the remainder (fivm-core, fivm-durability,
+# fivm-check), where unsafe is load-bearing in the SSE4.2 CRC and in
+# the model checker's instrumented lock and once-cell types (Send/Sync
+# impls, UnsafeCell access).
 #
 # Exits non-zero and prints every violation when the gate fails.
 set -u

@@ -2,9 +2,7 @@
 //! applying one N-tuple batch must equal applying its N tuples
 //! individually, and equal applying any partition of it into
 //! sub-batches — and all of those must equal the general
-//! factor-propagation path ([`IvmEngine::set_fast_path`]`(false)`)
-//! and the parallel fan-out (`set_workers(4)` with a forced-low
-//! parallel threshold).
+//! factor-propagation path ([`IvmEngine::set_fast_path`]`(false)`).
 //!
 //! N is driven across every merge-regime boundary of the batch path:
 //! the old 32-tuple fast-path gate (now the linear-merge bound) and
@@ -119,9 +117,8 @@ fn assert_all_views_agree(engines: &[IvmEngine<i64>], context: &str) -> Result<(
     Ok(())
 }
 
-/// Apply `pairs` to `rel` five ways — one batch, singles, random
-/// partition, general path, parallel fast path — and assert
-/// full-state agreement.
+/// Apply `pairs` to `rel` four ways — one batch, singles, random
+/// partition, general path — and assert full-state agreement.
 #[allow(clippy::too_many_arguments)]
 fn check_equivalence(
     q: &QueryDef,
@@ -134,14 +131,10 @@ fn check_equivalence(
     context: &str,
 ) -> Result<(), TestCaseError> {
     let all: Vec<usize> = (0..q.relations.len()).collect();
-    let mut engines: Vec<IvmEngine<i64>> = (0..5)
+    let mut engines: Vec<IvmEngine<i64>> = (0..4)
         .map(|_| IvmEngine::new(q.clone(), tree.clone(), &all, lifts.clone()))
         .collect();
     engines[3].set_fast_path(false);
-    // Engine 4: the parallel fan-out, forced onto every batch-scale
-    // step (4 workers, threshold far below the sweep sizes).
-    engines[4].set_workers(4);
-    engines[4].set_parallel_threshold(16);
     warm(q, &mut engines, sym_vars);
     let schema = q.relations[rel].schema.clone();
 
@@ -166,10 +159,7 @@ fn check_equivalence(
     }
 
     // Engine 3: the whole batch through the general path.
-    engines[3].apply(rel, &Delta::Flat(full.clone()));
-
-    // Engine 4: the whole batch through the parallel fast path.
-    engines[4].apply(rel, &Delta::Flat(full));
+    engines[3].apply(rel, &Delta::Flat(full));
 
     assert_all_views_agree(&engines, context)
 }
@@ -218,12 +208,65 @@ fn triangle_batches_straddling_thresholds_are_equivalent() {
     }
 }
 
+/// A 10k-tuple skewed batch per relation (a quarter of the rows share
+/// join key 1), then its exact negation, on cold engines: the batch
+/// sits far above the hash-merge threshold, and the negation must
+/// drain every view to empty. One batch, singles and the general path
+/// agree after each half.
+#[test]
+fn large_skewed_batch_then_negation_drains_to_empty() {
+    let (q, tree, lifts) = star_setup();
+    let all: Vec<usize> = (0..q.relations.len()).collect();
+    let mut engines: Vec<IvmEngine<i64>> = (0..3)
+        .map(|_| IvmEngine::new(q.clone(), tree.clone(), &all, lifts.clone()))
+        .collect();
+    engines[2].set_fast_path(false);
+    let batch = |rel: usize, sign: i64| {
+        let arity = q.relations[rel].schema.len();
+        Relation::from_pairs(
+            q.relations[rel].schema.clone(),
+            (0..10_000).map(move |i| {
+                let vals: Vec<Value> = (0..arity)
+                    .map(|c| {
+                        let v = if i % 4 == 0 && c == 0 {
+                            1
+                        } else {
+                            (i * 7 + c as i64) % 997
+                        };
+                        Value::Int(v)
+                    })
+                    .collect();
+                (Tuple::new(vals), sign)
+            }),
+        )
+    };
+    for sign in [1i64, -1] {
+        for rel in 0..3 {
+            let d = batch(rel, sign);
+            engines[0].apply(rel, &Delta::Flat(d.clone()));
+            for (t, m) in d.iter() {
+                let single = Relation::from_pairs(d.schema().clone(), [(t.clone(), *m)]);
+                engines[1].apply(rel, &Delta::Flat(single));
+            }
+            engines[2].apply(rel, &Delta::Flat(d));
+        }
+        assert_all_views_agree(&engines, &format!("large skewed batch, sign {sign}"))
+            .unwrap_or_else(|e| panic!("{e}"));
+        if sign == 1 {
+            assert!(!engines[0].result().is_empty(), "load produced no result");
+        }
+    }
+    for (i, e) in engines.iter().enumerate() {
+        assert!(e.result().is_empty(), "engine {i} result not drained");
+        assert_eq!(e.total_entries(), 0, "engine {i} views not drained");
+    }
+}
+
 /// The threshold sweep with **string join keys**: A (the free group-by
 /// variable) and C (the inner join variable) carry interned symbols
 /// from the same skewed 32-value domain, so duplicate keys,
 /// cancellations and join partners all land on symbol equality/hash,
-/// across all five application strategies including the parallel
-/// fan-out.
+/// across all four application strategies.
 #[test]
 fn symbol_keyed_batches_straddling_thresholds_are_equivalent() {
     let (q, tree, lifts) = star_setup();

@@ -137,8 +137,7 @@ fn indicator_bounds_view_size() {
 /// promotions and demotions while background edges keep every part
 /// combination populated. After every single-tuple update the
 /// partitioned result must be byte-identical to the classical
-/// indicator-projected engine at 1 and 4 workers and to the
-/// `eval_tree` oracle.
+/// indicator-projected engine and to the `eval_tree` oracle.
 #[test]
 fn heavy_light_migration_storm_matches_classical() {
     let q = QueryDef::triangle();
@@ -147,12 +146,8 @@ fn heavy_light_migration_storm_matches_classical() {
     add_indicators(&mut tree, &q);
     let all = [0usize, 1, 2];
     let lifts = LiftingMap::<i64>::new();
-    let mut classical = [1usize, 4].map(|w| {
-        let mut e: IvmEngine<i64> = IvmEngine::new(q.clone(), tree.clone(), &all, lifts.clone());
-        e.set_workers(w);
-        e.set_parallel_threshold(1);
-        e
-    });
+    let mut classical: IvmEngine<i64> =
+        IvmEngine::new(q.clone(), tree.clone(), &all, lifts.clone());
     // ε = 0 pins θ to min_theta: promotion at degree > 6, demotion
     // below 3 — cheap to oscillate across, expensive to get wrong.
     let mut hl = TriangleHlEngine::<i64>::new(
@@ -167,7 +162,7 @@ fn heavy_light_migration_storm_matches_classical() {
 
     let mut step = 0usize;
     let mut apply = |hl: &mut TriangleHlEngine<i64>,
-                     classical: &mut [IvmEngine<i64>; 2],
+                     classical: &mut IvmEngine<i64>,
                      db: &mut Database<i64>,
                      rel: usize,
                      a: i64,
@@ -176,15 +171,11 @@ fn heavy_light_migration_storm_matches_classical() {
         let t = Tuple::new(vec![Value::Int(a), Value::Int(b)]);
         hl.apply_update(rel, &t, m);
         let d = Relation::from_pairs(q.relations[rel].schema.clone(), [(t, m)]);
-        for e in classical.iter_mut() {
-            e.apply(rel, &Delta::Flat(d.clone()));
-        }
+        classical.apply(rel, &Delta::Flat(d.clone()));
         db.relations[rel].union_in_place(&d);
         step += 1;
         let got = hl.result();
-        for (w, e) in classical.iter().enumerate() {
-            assert_eq!(got, e.result(), "vs workers variant {w} at step {step}");
-        }
+        assert_eq!(got, classical.result(), "vs classical at step {step}");
         let oracle = eval_tree(&tree, db, &lifts);
         assert_eq!(
             got.payload(&Tuple::unit()),

@@ -12,12 +12,6 @@
 //! prefix of updates. Corruption that cannot be safely truncated (a
 //! damaged record in the middle of the log, a missing log prefix) must
 //! be a clean error, never a panic and never a silently wrong view.
-//!
-//! Engines default to the session's `FIVM_WORKERS` setting, so CI runs
-//! this suite both sequentially and at 4 workers; an explicit 4-worker
-//! test keeps the parallel path covered in default runs too. The i64
-//! ring is exact, so parallel determinism (PR 3) makes "byte-identical"
-//! well-defined at any worker count.
 
 #[path = "support/oracle.rs"]
 mod oracle;
@@ -54,15 +48,12 @@ fn specs() -> Vec<BatchSpec> {
 
 /// Fresh engine over the running-example query with indicators (so
 /// recovery's indicator-count rebuild is on the hook too).
-fn fresh(workers: Option<usize>) -> (QueryDef, IvmEngine<i64>) {
+fn fresh() -> (QueryDef, IvmEngine<i64>) {
     let q = QueryDef::example_rst(&["A"]);
     let vo = VariableOrder::parse("A - { B, C - { D, E } }", &q.catalog);
     let mut tree = ViewTree::build(&q, &vo);
     add_indicators(&mut tree, &q);
-    let mut engine = IvmEngine::new(q.clone(), tree, &[0, 1, 2], LiftingMap::new());
-    if let Some(w) = workers {
-        engine.set_workers(w);
-    }
+    let engine = IvmEngine::new(q.clone(), tree, &[0, 1, 2], LiftingMap::new());
     (q, engine)
 }
 
@@ -90,12 +81,12 @@ fn snapshot(e: &IvmEngine<i64>) -> Snapshot {
 }
 
 /// Run the full schedule through a durable engine into `dir`.
-fn run_durable(dir: &Path, workers: Option<usize>) {
-    run_durable_cfg(dir, workers, cfg());
+fn run_durable(dir: &Path) {
+    run_durable_cfg(dir, cfg());
 }
 
-fn run_durable_cfg(dir: &Path, workers: Option<usize>, cfg: DurabilityConfig) {
-    let (q, engine) = fresh(workers);
+fn run_durable_cfg(dir: &Path, cfg: DurabilityConfig) {
+    let (q, engine) = fresh();
     let mut gen = ScheduleGen::new(&q, &specs(), &sym_vars(&q));
     let mut d = DurableEngine::create(dir, engine, cfg).unwrap();
     while let Some((rel, delta)) = gen.next_batch(&q.catalog) {
@@ -106,8 +97,8 @@ fn run_durable_cfg(dir: &Path, workers: Option<usize>, cfg: DurabilityConfig) {
 
 /// Reference snapshots: `out[k]` is the state after applying exactly
 /// the first `k` updates on an uninterrupted engine.
-fn reference_snapshots(workers: Option<usize>) -> Vec<Snapshot> {
-    let (q, mut engine) = fresh(workers);
+fn reference_snapshots() -> Vec<Snapshot> {
+    let (q, mut engine) = fresh();
     let mut gen = ScheduleGen::new(&q, &specs(), &sym_vars(&q));
     let mut out = vec![snapshot(&engine)];
     while let Some((rel, delta)) = gen.next_batch(&q.catalog) {
@@ -120,8 +111,8 @@ fn reference_snapshots(workers: Option<usize>) -> Vec<Snapshot> {
 /// Recover from `dir` into a brand-new engine (fresh catalog — the
 /// restart simulation) and assert every materialized view equals the
 /// reference at the recovered LSN.
-fn recover_and_check(dir: &Path, refs: &[Snapshot], workers: Option<usize>) -> RecoveryReport {
-    let (_q2, engine) = fresh(workers);
+fn recover_and_check(dir: &Path, refs: &[Snapshot]) -> RecoveryReport {
+    let (_q2, engine) = fresh();
     let (recovered, report) =
         DurableEngine::open(dir, engine, cfg()).expect("recovery must succeed");
     let got = snapshot(recovered.engine());
@@ -164,8 +155,8 @@ fn final_record_span(dir: &Path) -> (PathBuf, u64, u64) {
 #[test]
 fn cut_at_every_byte_boundary_of_final_record() {
     let base = scratch("cuts");
-    run_durable(&base, None);
-    let refs = reference_snapshots(None);
+    run_durable(&base);
+    let refs = reference_snapshots();
     let (seg, off, len) = final_record_span(&base);
     let seg_name = seg.file_name().unwrap().to_owned();
     let n = N_UPDATES as u64;
@@ -179,7 +170,7 @@ fn cut_at_every_byte_boundary_of_final_record() {
             .unwrap()
             .set_len(cut)
             .unwrap();
-        let report = recover_and_check(&dir, &refs, None);
+        let report = recover_and_check(&dir, &refs);
         let expect = if cut == off + len { n } else { n - 1 };
         assert_eq!(
             report.last_lsn,
@@ -200,8 +191,8 @@ fn cut_at_every_byte_boundary_of_final_record() {
 #[test]
 fn bit_flips_in_final_record_are_detected_and_truncated() {
     let base = scratch("flips");
-    run_durable(&base, None);
-    let refs = reference_snapshots(None);
+    run_durable(&base);
+    let refs = reference_snapshots();
     let (seg, off, len) = final_record_span(&base);
     let seg_name = seg.file_name().unwrap().to_owned();
 
@@ -212,7 +203,7 @@ fn bit_flips_in_final_record_are_detected_and_truncated() {
         let mut bytes = std::fs::read(&path).unwrap();
         bytes[(off + byte) as usize] ^= 1 << (byte % 8);
         std::fs::write(&path, &bytes).unwrap();
-        let report = recover_and_check(&dir, &refs, None);
+        let report = recover_and_check(&dir, &refs);
         assert_eq!(
             report.last_lsn,
             N_UPDATES as u64 - 1,
@@ -234,7 +225,7 @@ fn corruption_mid_log_is_a_clean_error() {
         segment_bytes: 512,
         ..DurabilityConfig::default()
     };
-    run_durable_cfg(&base, None, midlog_cfg.clone());
+    run_durable_cfg(&base, midlog_cfg.clone());
     let segments = wal::list_segments(&base).unwrap();
     assert!(segments.len() >= 2, "schedule must span multiple segments");
     // Damage a record in a non-final segment: recovery cannot truncate
@@ -247,7 +238,7 @@ fn corruption_mid_log_is_a_clean_error() {
     bytes[(off + len / 2) as usize] ^= 0x10;
     std::fs::write(&victim.path, &bytes).unwrap();
 
-    let (_q2, engine) = fresh(None);
+    let (_q2, engine) = fresh();
     let result = DurableEngine::open(&base, engine, midlog_cfg);
     assert!(result.is_err(), "mid-log corruption must be rejected");
     std::fs::remove_dir_all(&base).unwrap();
@@ -256,13 +247,13 @@ fn corruption_mid_log_is_a_clean_error() {
 #[test]
 fn dropped_newest_checkpoint_recovers_from_previous() {
     let base = scratch("dropckpt");
-    run_durable(&base, None);
-    let refs = reference_snapshots(None);
+    run_durable(&base);
+    let refs = reference_snapshots();
     let manifests = fivm::durability::checkpoint::list_manifests(&base).unwrap();
     assert_eq!(manifests.len(), 2, "two checkpoints retained");
     std::fs::remove_file(&manifests.last().unwrap().path).unwrap();
 
-    let report = recover_and_check(&base, &refs, None);
+    let report = recover_and_check(&base, &refs);
     assert_eq!(
         report.last_lsn, N_UPDATES as u64,
         "full state via longer tail"
@@ -274,14 +265,14 @@ fn dropped_newest_checkpoint_recovers_from_previous() {
 #[test]
 fn all_checkpoints_lost_with_truncated_log_is_a_clean_error() {
     let base = scratch("allckpt");
-    run_durable(&base, None);
+    run_durable(&base);
     // Log segments before the oldest retained checkpoint were
     // truncated, so with every manifest gone there is no consistent
     // state to rebuild — recovery must say so, not guess.
     for m in fivm::durability::checkpoint::list_manifests(&base).unwrap() {
         std::fs::remove_file(&m.path).unwrap();
     }
-    let (_q2, engine) = fresh(None);
+    let (_q2, engine) = fresh();
     let result = DurableEngine::open(&base, engine, cfg());
     assert!(result.is_err(), "missing log prefix must be rejected");
     std::fs::remove_dir_all(&base).unwrap();
@@ -290,8 +281,8 @@ fn all_checkpoints_lost_with_truncated_log_is_a_clean_error() {
 #[test]
 fn partial_newest_checkpoint_falls_back() {
     let base = scratch("partial");
-    run_durable(&base, None);
-    let refs = reference_snapshots(None);
+    run_durable(&base);
+    let refs = reference_snapshots();
 
     // Case 1: manifest half-written (kill during the manifest write —
     // possible only before the atomic rename, but a torn rename target
@@ -307,7 +298,7 @@ fn partial_newest_checkpoint_falls_back() {
         .unwrap()
         .set_len(size / 2)
         .unwrap();
-    let report = recover_and_check(&dir1, &refs, None);
+    let report = recover_and_check(&dir1, &refs);
     assert_eq!(report.last_lsn, N_UPDATES as u64);
     assert_eq!(report.manifests_skipped, 1);
     std::fs::remove_dir_all(&dir1).unwrap();
@@ -332,7 +323,7 @@ fn partial_newest_checkpoint_falls_back() {
         .unwrap()
         .set_len(size.saturating_sub(7))
         .unwrap();
-    let report = recover_and_check(&dir2, &refs, None);
+    let report = recover_and_check(&dir2, &refs);
     assert_eq!(report.last_lsn, N_UPDATES as u64);
     assert_eq!(report.manifests_skipped, 1);
     std::fs::remove_dir_all(&dir2).unwrap();
@@ -342,8 +333,8 @@ fn partial_newest_checkpoint_falls_back() {
 #[test]
 fn kill_between_view_files_and_manifest_is_invisible() {
     let base = scratch("midckpt");
-    run_durable(&base, None);
-    let refs = reference_snapshots(None);
+    run_durable(&base);
+    let refs = reference_snapshots();
     // A checkpoint that died after writing view files but before the
     // manifest rename leaves stray view files and possibly a .tmp
     // manifest. Recovery must ignore both.
@@ -353,42 +344,9 @@ fn kill_between_view_files_and_manifest_is_invisible() {
     )
     .unwrap();
     std::fs::write(base.join("ckpt-000099.tmp"), b"FIVMCKP1 torn").unwrap();
-    let report = recover_and_check(&base, &refs, None);
+    let report = recover_and_check(&base, &refs);
     assert_eq!(report.last_lsn, N_UPDATES as u64);
     assert_eq!(report.manifests_skipped, 0);
-    std::fs::remove_dir_all(&base).unwrap();
-}
-
-/// The same crash-point sweep on explicit 4-worker engines (sampled
-/// boundaries plus both extremes): parallel propagation must recover
-/// byte-identically too. In CI the whole suite additionally runs under
-/// `FIVM_WORKERS=4`, which covers the full sweep at 4 workers.
-#[test]
-fn crash_points_recover_identically_with_four_workers() {
-    let base = scratch("cuts4");
-    run_durable(&base, Some(4));
-    let refs = reference_snapshots(Some(4));
-    let (seg, off, len) = final_record_span(&base);
-    let seg_name = seg.file_name().unwrap().to_owned();
-    let n = N_UPDATES as u64;
-
-    let mut cuts: Vec<u64> = (off..=off + len).step_by(5).collect();
-    cuts.push(off + len);
-    cuts.push(off + 1);
-    for cut in cuts {
-        let dir = scratch("cut4-case");
-        copy_dir(&base, &dir);
-        std::fs::OpenOptions::new()
-            .write(true)
-            .open(dir.join(&seg_name))
-            .unwrap()
-            .set_len(cut)
-            .unwrap();
-        let report = recover_and_check(&dir, &refs, Some(4));
-        let expect = if cut == off + len { n } else { n - 1 };
-        assert_eq!(report.last_lsn, expect, "cut at byte {cut}");
-        std::fs::remove_dir_all(&dir).unwrap();
-    }
     std::fs::remove_dir_all(&base).unwrap();
 }
 
@@ -414,8 +372,8 @@ fn extra_specs() -> Vec<BatchSpec> {
 }
 
 /// Reference snapshots over `specs()` followed by `extra_specs()`.
-fn reference_snapshots_extended(workers: Option<usize>) -> Vec<Snapshot> {
-    let (q, mut engine) = fresh(workers);
+fn reference_snapshots_extended() -> Vec<Snapshot> {
+    let (q, mut engine) = fresh();
     let mut out = vec![snapshot(&engine)];
     for s in [specs(), extra_specs()] {
         let mut gen = ScheduleGen::new(&q, &s, &sym_vars(&q));
@@ -435,8 +393,8 @@ fn reference_snapshots_extended(workers: Option<usize>) -> Vec<Snapshot> {
 #[test]
 fn acked_durable_survives_loss_of_unsynced_tail() {
     let dir = scratch("batched");
-    let refs = reference_snapshots(None);
-    let (q, engine) = fresh(None);
+    let refs = reference_snapshots();
+    let (q, engine) = fresh();
     let mut gen = ScheduleGen::new(&q, &specs(), &sym_vars(&q));
     let batched = DurabilityConfig {
         checkpoint_every: 0,
@@ -481,7 +439,7 @@ fn acked_durable_survives_loss_of_unsynced_tail() {
         .set_len(synced_len)
         .unwrap();
 
-    let (_q2, engine2) = fresh(None);
+    let (_q2, engine2) = fresh();
     let (recovered, report) = DurableEngine::open(&dir, engine2, batched).unwrap();
     assert!(
         report.last_lsn >= durable,
@@ -506,8 +464,8 @@ fn acked_durable_survives_loss_of_unsynced_tail() {
 #[test]
 fn gc_tolerates_corrupt_retained_manifest() {
     let dir = scratch("gccorrupt");
-    let refs = reference_snapshots_extended(None);
-    let (q, engine) = fresh(None);
+    let refs = reference_snapshots_extended();
+    let (q, engine) = fresh();
     let mut d = DurableEngine::create(&dir, engine, cfg()).unwrap();
     let mut gen = ScheduleGen::new(&q, &specs(), &sym_vars(&q));
     while let Some((rel, delta)) = gen.next_batch(&q.catalog) {
@@ -541,7 +499,7 @@ fn gc_tolerates_corrupt_retained_manifest() {
             .all(|m| fivm::durability::checkpoint::read_manifest(&m.path).is_ok()),
         "the corrupt manifest must be gone after GC"
     );
-    let (_q2, engine2) = fresh(None);
+    let (_q2, engine2) = fresh();
     let (recovered, report) = DurableEngine::open(&dir, engine2, cfg()).unwrap();
     assert_eq!(report.last_lsn, total);
     assert_eq!(snapshot(recovered.engine()), refs[total as usize]);
@@ -560,7 +518,7 @@ fn gc_tolerates_corrupt_retained_manifest() {
 /// WAL-sync half).
 #[test]
 fn fault_at_every_vfs_call_inside_checkpoint_is_survivable() {
-    let refs = reference_snapshots(None);
+    let refs = reference_snapshots();
     let n = N_UPDATES as u64;
     let sweep_cfg = DurabilityConfig {
         // One retry would mask single one-shot faults.
@@ -571,7 +529,7 @@ fn fault_at_every_vfs_call_inside_checkpoint_is_survivable() {
     // Everything below replays the same deterministic schedule, so the
     // operation indices measured here line up across runs.
     let run = |dir: &Path, vfs: &FaultVfs| -> DurableEngine<i64> {
-        let (q, engine) = fresh(None);
+        let (q, engine) = fresh();
         let mut gen = ScheduleGen::new(&q, &specs(), &sym_vars(&q));
         let mut d =
             DurableEngine::create_with_vfs(dir, engine, sweep_cfg.clone(), Arc::new(vfs.clone()))
@@ -614,7 +572,7 @@ fn fault_at_every_vfs_call_inside_checkpoint_is_survivable() {
         // now, exactly as the fault left it.
         let crashed = scratch("ckptsweep-crash");
         copy_dir(&dir, &crashed);
-        let report = recover_and_check(&crashed, &refs, None);
+        let report = recover_and_check(&crashed, &refs);
         assert_eq!(
             report.last_lsn, n,
             "op {i} ({kind:?}): fault inside checkpoint lost durable updates"
@@ -634,7 +592,7 @@ fn fault_at_every_vfs_call_inside_checkpoint_is_survivable() {
         }
         assert!(!d.is_degraded());
         drop(d);
-        let report = recover_and_check(&dir, &refs, None);
+        let report = recover_and_check(&dir, &refs);
         assert_eq!(
             report.last_lsn, n,
             "op {i} ({kind:?}): post-repair recovery"
@@ -653,8 +611,8 @@ fn fault_at_every_vfs_call_inside_checkpoint_is_survivable() {
 #[test]
 fn drop_newest_manifest_after_gc() {
     let dir = scratch("gcdropnew");
-    let refs = reference_snapshots_extended(None);
-    let (q, engine) = fresh(None);
+    let refs = reference_snapshots_extended();
+    let (q, engine) = fresh();
     let mut d = DurableEngine::create(&dir, engine, cfg()).unwrap();
     let mut gen = ScheduleGen::new(&q, &specs(), &sym_vars(&q));
     while let Some((rel, delta)) = gen.next_batch(&q.catalog) {
@@ -697,7 +655,7 @@ fn drop_newest_manifest_after_gc() {
     );
     // Crash scenario: the newest manifest is lost *after* that GC ran.
     std::fs::remove_file(&manifests.last().unwrap().path).unwrap();
-    let (_q2, engine2) = fresh(None);
+    let (_q2, engine2) = fresh();
     let (recovered, report) = DurableEngine::open(&dir, engine2, cfg())
         .expect("must recover from an older kept checkpoint plus the WAL tail");
     assert_eq!(report.last_lsn, total);

@@ -1,12 +1,11 @@
 //! Factored-delta equivalence: a factored update applied through the
 //! **compiled factored path** must equal (a) its multiplied-out flat
-//! form through the compiled flat path, (b) the same factored delta
+//! form through the compiled flat path and (b) the same factored delta
 //! through the general factor-propagation path
-//! ([`IvmEngine::set_fast_path`]`(false)`), and (c) the flat form
-//! through the parallel fan-out — on **every materialized view**, after
-//! every update of randomized rank-1/rank-r schedules with mixed signs
-//! (deletes), random factor groupings/orders, and symbol-keyed
-//! variables. Exact `i64` ring, so agreement is bitwise.
+//! ([`IvmEngine::set_fast_path`]`(false)`) — on **every materialized
+//! view**, after every update of randomized rank-1/rank-r schedules
+//! with mixed signs (deletes), random factor groupings/orders, and
+//! symbol-keyed variables. Exact `i64` ring, so agreement is bitwise.
 
 use fivm::prelude::*;
 use proptest::prelude::*;
@@ -139,9 +138,9 @@ fn assert_all_views_agree(engines: &[IvmEngine<i64>], context: &str) -> Result<(
     Ok(())
 }
 
-/// Run a randomized rank-1/rank-r schedule through four engines —
-/// factored-compiled, flat-compiled, factored-general, flat-parallel —
-/// asserting full-state agreement after every update.
+/// Run a randomized rank-1/rank-r schedule through three engines —
+/// factored-compiled, flat-compiled, factored-general — asserting
+/// full-state agreement after every update.
 fn check_schedule(
     q: &QueryDef,
     tree: &ViewTree,
@@ -151,12 +150,10 @@ fn check_schedule(
     updates: usize,
 ) -> Result<(), TestCaseError> {
     let all: Vec<usize> = (0..q.relations.len()).collect();
-    let mut engines: Vec<IvmEngine<i64>> = (0..4)
+    let mut engines: Vec<IvmEngine<i64>> = (0..3)
         .map(|_| IvmEngine::new(q.clone(), tree.clone(), &all, lifts.clone()))
         .collect();
     engines[2].set_fast_path(false);
-    engines[3].set_workers(4);
-    engines[3].set_parallel_threshold(16);
     warm(q, &mut engines, sym_vars, seed ^ 0xBA5E);
     let mut rng = SmallRng::seed_from_u64(seed);
     for step in 0..updates {
@@ -169,7 +166,6 @@ fn check_schedule(
             engines[0].apply(rel, &d);
             engines[1].apply(rel, &flat);
             engines[2].apply(rel, &d);
-            engines[3].apply(rel, &flat);
         }
         assert_all_views_agree(&engines, &format!("seed={seed} step={step} rel={rel}"))?;
     }

@@ -1,7 +1,6 @@
 //! Differential tests for the IVM^ε heavy/light triangle engine: the
 //! partitioned path must agree with the classical indicator-projected
-//! engine (sequential *and* with a 4-worker pool) and with the
-//! code-independent from-scratch oracle (`tests/support/oracle.rs`) on
+//! engine and with the code-independent from-scratch oracle (`tests/support/oracle.rs`) on
 //! randomized Zipf-skewed insert/delete schedules — including schedules
 //! that force repeated heavy↔light migrations and deletions that empty
 //! heavy keys — with the engine's internal-consistency checker
@@ -16,12 +15,12 @@ use fivm_data::zipf::Zipf;
 use rand::rngs::SmallRng;
 use rand::{Rng, SeedableRng};
 
-/// The partitioned engine and its two classical foils (1 and 4
-/// workers), fed identical single-tuple updates.
+/// The partitioned engine and its classical foil, fed identical
+/// single-tuple updates.
 struct Harness {
     q: QueryDef,
     hl: TriangleHlEngine<i64>,
-    classical: [IvmEngine<i64>; 2],
+    classical: IvmEngine<i64>,
     db: support::OracleDb,
     steps: usize,
 }
@@ -32,13 +31,7 @@ impl Harness {
         let vo = VariableOrder::parse("A - B - C", &q.catalog);
         let mut tree = ViewTree::build(&q, &vo);
         add_indicators(&mut tree, &q);
-        let classical = [1usize, 4].map(|w| {
-            let mut e: IvmEngine<i64> =
-                IvmEngine::new(q.clone(), tree.clone(), &[0, 1, 2], LiftingMap::new());
-            e.set_workers(w);
-            e.set_parallel_threshold(1);
-            e
-        });
+        let classical = IvmEngine::new(q.clone(), tree, &[0, 1, 2], LiftingMap::new());
         let hl = TriangleHlEngine::new(q.clone(), cfg).unwrap();
         Harness {
             q,
@@ -53,26 +46,21 @@ impl Harness {
         let t = Tuple::new(vec![Value::Int(a), Value::Int(b)]);
         self.hl.apply_update(rel, &t, m);
         let d = Relation::from_pairs(self.q.relations[rel].schema.clone(), [(t, m)]);
-        for e in &mut self.classical {
-            e.apply(rel, &Delta::Flat(d.clone()));
-        }
+        self.classical.apply(rel, &Delta::Flat(d));
         let row = self.db[rel].entry(vec![a, b]).or_insert(0);
         *row += m;
         if *row == 0 {
             self.db[rel].remove([a, b].as_slice());
         }
         self.steps += 1;
-        // Every step: the partitioned total must equal both classical
-        // engines' results byte-for-byte (same unit-keyed relation).
-        let hl_result = self.hl.result();
-        for (w, e) in self.classical.iter().enumerate() {
-            assert_eq!(
-                hl_result,
-                e.result(),
-                "partitioned vs classical (workers variant {w}) at step {}",
-                self.steps
-            );
-        }
+        // Every step: the partitioned total must equal the classical
+        // engine's result byte-for-byte (same unit-keyed relation).
+        assert_eq!(
+            self.hl.result(),
+            self.classical.result(),
+            "partitioned vs classical at step {}",
+            self.steps
+        );
         // Periodically: internal invariants + the from-scratch oracle.
         if self.steps.is_multiple_of(64) {
             self.check_deep();

@@ -9,11 +9,6 @@
 //! of the flat-batch path), skewed join keys (a small hot pool plus a
 //! large cold domain), interleaved relations, and deletes drawn from
 //! the live multiset so multiplicities stay non-negative.
-//!
-//! Every schedule runs on **two engines**: the default sequential one
-//! and one with 4 workers and a low parallel threshold, so the
-//! range-partitioned parallel fan-out is held to the same oracle on
-//! the same randomized schedules as the sequential path.
 
 #[path = "support/oracle.rs"]
 mod support;
@@ -25,15 +20,10 @@ use support::{
     batch_specs, canon_engine_result, oracle_eval, run_schedule, run_schedule_sym, OracleDb,
 };
 
-/// The sequential engine plus a parallel twin (4 workers, fan-out
-/// forced onto small batches).
-fn engine_pair(q: &QueryDef, tree: &ViewTree, lifts: &LiftingMap<i64>) -> Vec<IvmEngine<i64>> {
+/// An engine maintaining every relation of `q`.
+fn engine(q: &QueryDef, tree: &ViewTree, lifts: &LiftingMap<i64>) -> IvmEngine<i64> {
     let all: Vec<usize> = (0..q.relations.len()).collect();
-    let seq = IvmEngine::new(q.clone(), tree.clone(), &all, lifts.clone());
-    let mut par = IvmEngine::new(q.clone(), tree.clone(), &all, lifts.clone());
-    par.set_workers(4);
-    par.set_parallel_threshold(64);
-    vec![seq, par]
+    IvmEngine::new(q.clone(), tree.clone(), &all, lifts.clone())
 }
 
 proptest! {
@@ -46,8 +36,8 @@ proptest! {
         let q = QueryDef::example_rst(&[]);
         let vo = VariableOrder::parse("A - { B, C - { D, E } }", &q.catalog);
         let tree = ViewTree::build(&q, &vo);
-        let mut engines = engine_pair(&q, &tree, &LiftingMap::new());
-        run_schedule(&q, &mut engines, &specs, &[])?;
+        let mut engine = engine(&q, &tree, &LiftingMap::new());
+        run_schedule(&q, &mut engine, &specs, &[])?;
     }
 
     /// Group-by with non-trivial liftings: free variables A and C,
@@ -62,8 +52,8 @@ proptest! {
         let mut lifts = LiftingMap::<i64>::new();
         lifts.set(b, fivm::core::lifting::int_identity());
         lifts.set(e, fivm::core::lifting::int_identity());
-        let mut engines = engine_pair(&q, &tree, &lifts);
-        run_schedule(&q, &mut engines, &specs, &[b, e])?;
+        let mut engine = engine(&q, &tree, &lifts);
+        run_schedule(&q, &mut engine, &specs, &[b, e])?;
     }
 
     /// Triangle COUNT with indicator projections (Appendix B): the
@@ -75,8 +65,8 @@ proptest! {
         let vo = VariableOrder::parse("A - B - C", &q.catalog);
         let mut tree = ViewTree::build(&q, &vo);
         add_indicators(&mut tree, &q);
-        let mut engines = engine_pair(&q, &tree, &LiftingMap::new());
-        run_schedule(&q, &mut engines, &specs, &[])?;
+        let mut engine = engine(&q, &tree, &LiftingMap::new());
+        run_schedule(&q, &mut engine, &specs, &[])?;
     }
 
     /// COUNT over the star join with **string join keys**: A and C —
@@ -91,8 +81,8 @@ proptest! {
         let tree = ViewTree::build(&q, &vo);
         let a = q.catalog.lookup("A").unwrap();
         let c = q.catalog.lookup("C").unwrap();
-        let mut engines = engine_pair(&q, &tree, &LiftingMap::new());
-        run_schedule_sym(&q, &mut engines, &specs, &[], &[a, c])?;
+        let mut engine = engine(&q, &tree, &LiftingMap::new());
+        run_schedule_sym(&q, &mut engine, &specs, &[], &[a, c])?;
     }
 
     /// Group-by over string keys: free variables A (symbolic) and C,
@@ -109,8 +99,8 @@ proptest! {
         let mut lifts = LiftingMap::<i64>::new();
         lifts.set(b, fivm::core::lifting::int_identity());
         lifts.set(e, fivm::core::lifting::int_identity());
-        let mut engines = engine_pair(&q, &tree, &lifts);
-        run_schedule_sym(&q, &mut engines, &specs, &[b, e], &[a])?;
+        let mut engine = engine(&q, &tree, &lifts);
+        run_schedule_sym(&q, &mut engine, &specs, &[b, e], &[a])?;
     }
 
     /// Triangle with indicators over **all-symbol** edges (the Twitter
@@ -126,24 +116,23 @@ proptest! {
             .iter()
             .map(|n| q.catalog.lookup(n).unwrap())
             .collect();
-        let mut engines = engine_pair(&q, &tree, &LiftingMap::new());
-        run_schedule_sym(&q, &mut engines, &specs, &[], &vars)?;
+        let mut engine = engine(&q, &tree, &LiftingMap::new());
+        run_schedule_sym(&q, &mut engine, &specs, &[], &vars)?;
     }
 }
 
 /// Deterministic worst-case shapes the random driver may miss: a
 /// batch that is entirely one hot key, a batch that cancels itself,
 /// and a batch that deletes everything a previous batch inserted.
-/// Runs on the sequential engine and the 4-worker parallel twin.
 #[test]
 fn adversarial_batches_match_oracle() {
     let q = QueryDef::example_rst(&[]);
     let vo = VariableOrder::parse("A - { B, C - { D, E } }", &q.catalog);
     let tree = ViewTree::build(&q, &vo);
-    let mut engines = engine_pair(&q, &tree, &LiftingMap::new());
+    let mut engine = engine(&q, &tree, &LiftingMap::new());
     let mut db: OracleDb = q.relations.iter().map(|_| HashMap::new()).collect();
 
-    let apply = |engines: &mut Vec<IvmEngine<i64>>,
+    let apply = |engine: &mut IvmEngine<i64>,
                  db: &mut OracleDb,
                  rel: usize,
                  pairs: Vec<(Vec<i64>, i64)>| {
@@ -160,76 +149,69 @@ fn adversarial_batches_match_oracle() {
                 .into_iter()
                 .map(|(row, m)| (Tuple::new(row.iter().map(|&v| Value::Int(v)).collect()), m)),
         );
-        for engine in engines.iter_mut() {
-            engine.apply(rel, &Delta::Flat(delta.clone()));
-        }
+        engine.apply(rel, &Delta::Flat(delta));
     };
-    let check = |engines: &Vec<IvmEngine<i64>>, db: &OracleDb, what: &str| {
-        let expected = oracle_eval(&q, db, &[]);
-        for (i, e) in engines.iter().enumerate() {
-            assert_eq!(
-                canon_engine_result(&q, &e.result()),
-                expected,
-                "engine {i} after {what}"
-            );
-        }
+    let check = |engine: &IvmEngine<i64>, db: &OracleDb, what: &str| {
+        assert_eq!(
+            canon_engine_result(&q, &engine.result()),
+            oracle_eval(&q, db, &[]),
+            "after {what}"
+        );
     };
 
     // 2000 R-tuples all sharing A=1 (one hot join key).
     apply(
-        &mut engines,
+        &mut engine,
         &mut db,
         0,
         (0..2000).map(|b| (vec![1, b], 1)).collect(),
     );
     // S and T matching the hub, enough to cross the hash-merge band.
     apply(
-        &mut engines,
+        &mut engine,
         &mut db,
         1,
         (0..1500).map(|c| (vec![1, c % 40, c], 1)).collect(),
     );
     apply(
-        &mut engines,
+        &mut engine,
         &mut db,
         2,
         (0..40).map(|c| (vec![c, c], 1)).collect(),
     );
-    check(&engines, &db, "hot-key load");
+    check(&engine, &db, "hot-key load");
 
     // A self-cancelling batch (every key nets to zero) is a no-op —
     // including for view stores and index bucket counters downstream.
-    let before: Vec<Relation<i64>> = engines.iter().map(|e| e.result()).collect();
-    let footprints: Vec<usize> = engines.iter().map(|e| e.index_footprint()).collect();
+    let before = engine.result();
+    let footprint = engine.index_footprint();
     apply(
-        &mut engines,
+        &mut engine,
         &mut db,
         0,
         (0..500)
             .flat_map(|b| [(vec![7, b], 3), (vec![7, b], -3)])
             .collect(),
     );
-    for (i, e) in engines.iter().enumerate() {
-        assert_eq!(
-            e.result(),
-            before[i],
-            "engine {i}: cancelled batch changed the result"
-        );
-        assert_eq!(
-            e.index_footprint(),
-            footprints[i],
-            "engine {i}: cancelled batch touched index buckets"
-        );
-    }
-    check(&engines, &db, "self-cancelling batch");
+    assert_eq!(
+        engine.result(),
+        before,
+        "cancelled batch changed the result"
+    );
+    assert_eq!(
+        engine.index_footprint(),
+        footprint,
+        "cancelled batch touched index buckets"
+    );
+    check(&engine, &db, "self-cancelling batch");
 
     // A batch cancelling on *join-output* keys: distinct input rows
     // that project to the same view keys with opposite weights, so the
     // zero only appears after the per-step merge. Nothing downstream
     // of the first projection may observe it.
-    let before: Vec<Relation<i64>> = engines.iter().map(|e| e.result()).collect();
+    let before = engine.result();
     apply(
-        &mut engines,
+        &mut engine,
         &mut db,
         0,
         (0..40)
@@ -244,25 +226,17 @@ fn adversarial_batches_match_oracle() {
             })
             .collect(),
     );
-    for (i, e) in engines.iter().enumerate() {
-        // R's leaf store legitimately changed; the *result* must not
-        // (the B column is marginalized with COUNT lifting, so +1/−1
-        // pairs at the same A cancel at the first projection).
-        assert_eq!(
-            e.result(),
-            before[i],
-            "engine {i}: projection-cancelled batch leaked"
-        );
-    }
-    check(&engines, &db, "projection-cancelling batch");
+    // R's leaf store legitimately changed; the *result* must not (the
+    // B column is marginalized with COUNT lifting, so +1/−1 pairs at
+    // the same A cancel at the first projection).
+    assert_eq!(engine.result(), before, "projection-cancelled batch leaked");
+    check(&engine, &db, "projection-cancelling batch");
 
     // Delete everything ever inserted: all views drain to empty.
     for rel in 0..3 {
         let all: Vec<(Vec<i64>, i64)> = db[rel].iter().map(|(row, &m)| (row.clone(), -m)).collect();
-        apply(&mut engines, &mut db, rel, all);
+        apply(&mut engine, &mut db, rel, all);
     }
-    for (i, e) in engines.iter().enumerate() {
-        assert!(e.result().is_empty(), "engine {i}");
-        assert_eq!(e.total_entries(), 0, "engine {i}");
-    }
+    assert!(engine.result().is_empty());
+    assert_eq!(engine.total_entries(), 0);
 }

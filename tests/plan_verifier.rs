@@ -1,7 +1,7 @@
 //! Static plan-IR verification at the facade level: every plan the
 //! engine compiles for the paper's query shapes (star COUNT, star
-//! group-by with liftings, triangle with indicator views, sequential
-//! and parallel variants, flat and factored paths) must come back from
+//! group-by with liftings, triangle with indicator views, flat and
+//! factored paths) must come back from
 //! [`IvmEngine::verify_plans`] with zero findings — and hand-broken
 //! IRs must not. The unit tests inside `fivm-check` cover each rule in
 //! isolation; this suite pins down the end-to-end contract that the
@@ -9,9 +9,7 @@
 //! actually fails when a plan is wrong.
 
 use fivm::prelude::*;
-use fivm_check::plan_ir::{
-    verify_fast_plan, verify_partition, FastPlanIr, FastStepIr, PlanCtx, SiblingIr, FULL_KEY,
-};
+use fivm_check::plan_ir::{verify_fast_plan, FastPlanIr, FastStepIr, PlanCtx, SiblingIr, FULL_KEY};
 use rand::rngs::SmallRng;
 use rand::{Rng, SeedableRng};
 
@@ -29,7 +27,7 @@ fn assert_clean(engine: &IvmEngine<i64>, context: &str) {
 }
 
 /// Drive `updates` small flat deltas into every relation so the lazy
-/// paths (secondary indexes, parallel fan-out) all compile.
+/// paths (secondary indexes) all compile.
 fn drive(engine: &mut IvmEngine<i64>, q: &QueryDef, updates: usize, seed: u64) {
     let mut rng = SmallRng::seed_from_u64(seed);
     for _ in 0..updates {
@@ -87,35 +85,6 @@ fn triangle_with_indicators_plans_verify_clean() {
     let mut engine = IvmEngine::new(q.clone(), tree, &all, LiftingMap::new());
     drive(&mut engine, &q, 16, 3);
     assert_clean(&engine, "triangle with indicator views");
-}
-
-#[test]
-fn parallel_engine_partitions_verify_clean() {
-    let q = QueryDef::example_rst(&[]);
-    let vo = VariableOrder::parse("A - { B, C - { D, E } }", &q.catalog);
-    let tree = ViewTree::build(&q, &vo);
-    let all: Vec<usize> = (0..q.relations.len()).collect();
-    let mut engine = IvmEngine::new(q.clone(), tree, &all, LiftingMap::new());
-    engine.set_workers(4);
-    engine.set_parallel_threshold(8);
-    // Batches above the threshold force the range-partitioned fan-out,
-    // whose chunk/route partitions verify_plans re-checks.
-    let mut rng = SmallRng::seed_from_u64(4);
-    for rel in 0..q.relations.len() {
-        let schema = q.relations[rel].schema.clone();
-        let pairs: Vec<(Tuple, i64)> = (0..64)
-            .map(|_| {
-                let vals: Vec<Value> = schema
-                    .iter()
-                    .map(|_| Value::Int(rng.gen_range(0..32)))
-                    .collect();
-                (Tuple::new(vals), 1i64)
-            })
-            .collect();
-        let d = Relation::from_pairs(schema, pairs);
-        engine.apply(rel, &Delta::Flat(d));
-    }
-    assert_clean(&engine, "parallel star COUNT (4 workers)");
 }
 
 #[test]
@@ -264,18 +233,4 @@ fn full_key_probe_with_rest_columns_is_rejected() {
         r.contains(&"full-key-rest") && r.contains(&"probe-arity"),
         "expected full-key-rest + probe-arity, got {findings:?}"
     );
-}
-
-#[test]
-fn partition_defects_are_rejected() {
-    assert!(verify_partition(&[(0, 5), (5, 10)], 10).is_empty());
-    assert!(verify_partition(&[], 0).is_empty());
-    let overlap = verify_partition(&[(0, 6), (5, 10)], 10);
-    assert!(rules(&overlap).contains(&"range-overlap"), "{overlap:?}");
-    let gap = verify_partition(&[(0, 4), (5, 10)], 10);
-    assert!(rules(&gap).contains(&"range-cover"), "{gap:?}");
-    let oob = verify_partition(&[(0, 12)], 10);
-    assert!(rules(&oob).contains(&"range-oob"), "{oob:?}");
-    let inverted = verify_partition(&[(5, 2)], 10);
-    assert!(rules(&inverted).contains(&"range-inverted"), "{inverted:?}");
 }

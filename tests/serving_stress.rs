@@ -11,9 +11,7 @@
 //!
 //! Epochs must also be monotonic per reader, and the root view of every
 //! pin must match the differential oracle at that prefix. The sweep
-//! runs at 1, 2, 4 and 8 readers against a sequential writer and a
-//! 4-worker writer; CI additionally repeats the suite under
-//! `FIVM_WORKERS=4` (engines default to that setting).
+//! runs at 1, 2, 4 and 8 readers.
 
 #[path = "support/oracle.rs"]
 mod oracle;
@@ -103,12 +101,8 @@ fn references(
 
 /// Drive the schedule through a serving engine with `readers` pinning
 /// concurrently; every pin must equal the reference at its exact LSN.
-fn run_stress(readers: usize, workers: Option<usize>) {
-    let (q, mut engine) = fresh();
-    if let Some(w) = workers {
-        engine.set_workers(w);
-        engine.set_parallel_threshold(64);
-    }
+fn run_stress(readers: usize) {
+    let (q, engine) = fresh();
     let (refs, root_refs) = references(&q);
     let nodes = engine.materialized_nodes();
     let mut serving = ServingEngine::new(engine).with_publish_every(1);
@@ -176,29 +170,22 @@ fn run_stress(readers: usize, workers: Option<usize>) {
 
 #[test]
 fn one_reader_never_sees_a_torn_snapshot() {
-    run_stress(1, None);
+    run_stress(1);
 }
 
 #[test]
 fn two_readers_never_see_a_torn_snapshot() {
-    run_stress(2, None);
+    run_stress(2);
 }
 
 #[test]
 fn four_readers_never_see_a_torn_snapshot() {
-    run_stress(4, None);
+    run_stress(4);
 }
 
 #[test]
 fn eight_readers_never_see_a_torn_snapshot() {
-    run_stress(8, None);
-}
-
-/// The writer's parallel delta propagation (4 workers) must not leak
-/// intermediate merge state into published epochs.
-#[test]
-fn four_readers_against_a_four_worker_writer() {
-    run_stress(4, Some(4));
+    run_stress(8);
 }
 
 /// Pin-leak observability: `ServingStats` tracks exactly the epochs

@@ -1,9 +1,9 @@
 //! Shared differential-oracle support for integration tests: a
 //! from-scratch reference evaluator plus randomized batch-schedule
 //! generation. Included via `#[path = "support/oracle.rs"]` by
-//! `oracle_differential.rs` (the original home of this code) and
-//! `parallel_determinism.rs` — each test binary compiles its own copy,
-//! so nothing here depends on test-specific state.
+//! `oracle_differential.rs` (the original home of this code) and other
+//! suites — each test binary compiles its own copy, so nothing here
+//! depends on test-specific state.
 //!
 //! The oracle stores each relation as a plain `HashMap<Vec<i64>, i64>`
 //! multiset and evaluates the query by a hand-rolled hash join over
@@ -361,16 +361,15 @@ impl ScheduleGen {
     }
 }
 
-/// Drive a schedule through every engine and the oracle, asserting
-/// each engine agrees with the oracle (and hence with every other
-/// engine) after every batch. All engines receive identical deltas.
+/// Drive a schedule through `engine` and the oracle, asserting they
+/// agree after every batch.
 pub fn run_schedule(
     q: &QueryDef,
-    engines: &mut [IvmEngine<i64>],
+    engine: &mut IvmEngine<i64>,
     specs: &[BatchSpec],
     identity_lift_vars: &[VarId],
 ) -> Result<(), TestCaseError> {
-    run_schedule_sym(q, engines, specs, identity_lift_vars, &[])
+    run_schedule_sym(q, engine, specs, identity_lift_vars, &[])
 }
 
 /// [`run_schedule`] with a set of symbol-keyed variables: every column
@@ -379,7 +378,7 @@ pub fn run_schedule(
 /// from `sym_vars` — symbols have no numeric lifting.
 pub fn run_schedule_sym(
     q: &QueryDef,
-    engines: &mut [IvmEngine<i64>],
+    engine: &mut IvmEngine<i64>,
     specs: &[BatchSpec],
     identity_lift_vars: &[VarId],
     sym_vars: &[VarId],
@@ -398,24 +397,16 @@ pub fn run_schedule_sym(
         let pairs =
             build_batch_with_cols(spec, &kinds[rel], &q.catalog, &mut db[rel], &mut live[rel]);
         let delta = Relation::from_pairs(q.relations[rel].schema.clone(), pairs);
-        let expected = {
-            for engine in engines.iter_mut() {
-                engine.apply(rel, &Delta::Flat(delta.clone()));
-            }
-            oracle_eval(q, &db, identity_lift_vars)
-        };
-        for (e, engine) in engines.iter().enumerate() {
-            let got = canon_engine_result(q, &engine.result());
-            prop_assert_eq!(
-                &got,
-                &expected,
-                "engine {} ({} workers) diverged from the oracle after batch {} (rel {})",
-                e,
-                engine.workers(),
-                i,
-                rel
-            );
-        }
+        engine.apply(rel, &Delta::Flat(delta));
+        let expected = oracle_eval(q, &db, identity_lift_vars);
+        let got = canon_engine_result(q, &engine.result());
+        prop_assert_eq!(
+            &got,
+            &expected,
+            "engine diverged from the oracle after batch {} (rel {})",
+            i,
+            rel
+        );
     }
     Ok(())
 }
